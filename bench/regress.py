@@ -1,12 +1,17 @@
 #!/usr/bin/env python3
-"""PR-10 benchmark regression ledger.
+"""Benchmark regression ledger.
 
-Runs the micro-benches and writes a ``BENCH_PR10.json`` regression ledger:
+Runs the micro-benches and writes a ``BENCH_PR12.json`` regression ledger:
 
 * **Fig-7 grep latency** — LogGrep vs gzip+grep on the Table-1 query of a
   few representative datasets.  The gated metric is the dimensionless
   speedup ``ggrep_over_lg`` (both sides timed in the same process, so the
   ratio travels across CI hosts, unlike absolute milliseconds).
+* **Compression** (Fig 7a/7b) — per dataset, the compression ratio
+  (raw bytes over stored bytes, exactly reproducible) and compression
+  speed as ``compress_over_gzip``: LogGrep's compress MB/s over gzip's
+  on the same lines in the same process (min-of-rounds on both sides),
+  so the ratio travels across hosts.  Both are baseline-gated.
 * **Lazy-I/O** — bytes read off the store for one selective query under
   the default ranged reader vs eager whole-blob reads
   (``eager_over_lazy_bytes``; byte counts are exactly reproducible).
@@ -126,6 +131,34 @@ def bench_fig7(lines_per_spec, rounds):
             "lg_ms": round(lg_s * 1000, 3),
             "ggrep_ms": round(gg_s * 1000, 3),
             "ggrep_over_lg": round(gg_s / lg_s, 3),
+        }
+    return out
+
+
+def bench_compression(lines_per_spec, rounds):
+    """Fig 7a/7b: compression ratio and speed relative to gzip, per dataset."""
+    out = {}
+    config = LogGrepConfig(block_bytes=BLOCK_BYTES)
+    for name in FIG7_DATASETS:
+        lines = spec_by_name(name).generate(lines_per_spec)
+        lg_s = gz_s = float("inf")
+        for _ in range(rounds):
+            # Interleaved so host drift hits both sides alike.
+            lg = LogGrep(store=MemoryStore(), config=config)
+            start = time.perf_counter()
+            report = lg.compress(lines)
+            lg_s = min(lg_s, time.perf_counter() - start)
+            gg = GzipGrep(block_bytes=BLOCK_BYTES)
+            start = time.perf_counter()
+            gg.ingest(lines)
+            gz_s = min(gz_s, time.perf_counter() - start)
+        out[name] = {
+            "raw_bytes": report.raw_bytes,
+            "compressed_bytes": report.compressed_bytes,
+            "ratio": round(report.ratio, 3),
+            "lg_mb_s": round(report.raw_bytes / 1e6 / lg_s, 3),
+            "gzip_mb_s": round(report.raw_bytes / 1e6 / gz_s, 3),
+            "compress_over_gzip": round(gz_s / lg_s, 4),
         }
     return out
 
@@ -582,6 +615,9 @@ def gated_metrics(results):
     out = {}
     for name, row in results["fig7"].items():
         out[f"fig7/{name}/ggrep_over_lg"] = row["ggrep_over_lg"]
+    for name, row in results["compression"].items():
+        out[f"compression/{name}/ratio"] = row["ratio"]
+        out[f"compression/{name}/compress_over_gzip"] = row["compress_over_gzip"]
     out["lazy_io/eager_over_lazy_bytes"] = results["lazy_io"][
         "eager_over_lazy_bytes"
     ]
@@ -645,8 +681,8 @@ def main(argv=None):
         help="max ledger-on/ledger-off latency ratio (default: 1.03)",
     )
     parser.add_argument(
-        "--out", default=os.path.join(REPO, "BENCH_PR10.json"),
-        help="result ledger path (default: BENCH_PR10.json at the repo root)",
+        "--out", default=os.path.join(REPO, "BENCH_PR12.json"),
+        help="result ledger path (default: BENCH_PR12.json at the repo root)",
     )
     parser.add_argument(
         "--agg-bytes-bar", type=float, default=0.25,
@@ -704,10 +740,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     results = {
-        "bench": "PR10 shared-scan batching + predicate-fragment cache",
+        "bench": "grep, compression, I/O, aggregation, cluster, lifecycle, batching",
         "lines_per_spec": args.lines,
         "rounds": args.rounds,
         "fig7": bench_fig7(args.lines, args.rounds),
+        "compression": bench_compression(args.lines, args.rounds),
         "lazy_io": bench_lazy_io(args.lines),
         "aggregation": bench_aggregation(args.lines, args.rounds),
         "cluster": bench_cluster(args.lines, args.rounds),

@@ -146,23 +146,22 @@ def _encode_real(values: Sequence[str], options: EncodingOptions) -> RealEncoded
     config = TreeExpandConfig(sample_rate=options.sample_rate, seed=options.seed)
     pattern = extract_real_pattern(values, config)
 
-    columns: List[List[str]] = [[] for _ in range(pattern.num_subvars)]
-    outlier_rows: List[int] = []
-    outlier_values: List[str] = []
-    for row, value in enumerate(values):
-        subvalues = pattern.match(value)
-        if subvalues is None:
-            outlier_rows.append(row)
-            outlier_values.append(value)
-        else:
-            for column, subvalue in zip(columns, subvalues):
-                column.append(subvalue)
+    matches = list(map(pattern.match, values))
+    outlier_rows = [row for row, found in enumerate(matches) if found is None]
+    outlier_values = [values[row] for row in outlier_rows]
+    if outlier_rows:
+        matches = [found for found in matches if found is not None]
+    # Transpose the per-value splits into one column per sub-variable (a
+    # pattern with no sub-variables yields no columns).
+    columns: Sequence[Sequence[str]] = (
+        list(zip(*matches)) if matches else [[] for _ in range(pattern.num_subvars)]
+    )
 
     if values and len(outlier_values) > MIN_PATTERN_COVERAGE * len(values):
         # The sample misled the extractor; degrade to the trivial pattern
         # rather than storing half the vector as outliers.
         pattern = RuntimePattern([SubVar(0)])
-        columns = [list(values)]
+        columns = [values]
         outlier_rows = []
         outlier_values = []
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import lzma
 import zlib
+from itertools import chain, repeat
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from ..common.binio import BinaryReader, BinaryWriter
@@ -32,7 +33,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..blockstore.blobsource import BlobSource
 
 PAD = b"\x00"
-PAD_CHAR = 0
 
 #: Payload layouts.
 LAYOUT_FIXED = 0
@@ -56,12 +56,49 @@ _LZMA_FILTERS_BY_PRESET = {
     preset: [{"id": lzma.FILTER_LZMA2, "preset": preset}] for preset in range(10)
 }
 
+#: Smallest dictionary a fitted encoder gets.  liblzma sizes the match
+#: finder's hash table from the dictionary, and a smaller table collides
+#: more often, so a payload can come out a few bytes different from the
+#: full-preset encoding.  At this floor that is rare (about 1 Capsule in
+#: 400 at preset 1, none at preset 9, on the benchmark's logs); at 4 KiB
+#: it is about 1 in 27.
+_MIN_FITTED_DICT = 512 * 1024
+
+
+def _preset_dict_size(preset: int) -> int:
+    """The LZMA2 dictionary size liblzma's *preset* selects."""
+    props = lzma._encode_filter_properties(  # type: ignore[attr-defined]
+        {"id": lzma.FILTER_LZMA2, "preset": preset}
+    )
+    decoded = lzma._decode_filter_properties(  # type: ignore[attr-defined]
+        lzma.FILTER_LZMA2, props
+    )
+    return int(decoded["dict_size"])
+
+
+_PRESET_DICT_SIZE = {preset: _preset_dict_size(preset) for preset in range(10)}
+
+
+def _lzma_filters_for(size: int, preset: int) -> List[dict]:
+    """The encoder chain for a *size*-byte buffer at *preset*.
+
+    Encoder setup allocates and clears the whole dictionary (64 MiB at
+    preset 9) no matter how small the input, so the dictionary is cut to
+    the next power of two that holds the buffer, floored at
+    :data:`_MIN_FITTED_DICT` and capped at the preset's own.  Only the
+    encoder changes: the stored ``preset`` byte still names the decoder
+    chain, whose larger dictionary decodes any stream a smaller one wrote.
+    """
+    fitted = max(_MIN_FITTED_DICT, 1 << max(size - 1, 0).bit_length())
+    dict_size = min(_PRESET_DICT_SIZE[preset], fitted)
+    return [{"id": lzma.FILTER_LZMA2, "preset": preset, "dict_size": dict_size}]
+
 
 def _lzma_compress(data: bytes, preset: int) -> bytes:
     # Raw streams avoid the ~60-byte .xz container per Capsule, which
     # matters because a CapsuleBox holds many small Capsules.
     return lzma.compress(
-        data, format=lzma.FORMAT_RAW, filters=_LZMA_FILTERS_BY_PRESET[preset]
+        data, format=lzma.FORMAT_RAW, filters=_lzma_filters_for(len(data), preset)
     )
 
 
@@ -190,10 +227,10 @@ class Capsule:
         speed_tier: bool = False,
     ) -> "Capsule":
         """Pack *values* NUL-padded to a common width (§5.2)."""
-        encoded = [_encode(v) for v in values]
+        encoded = _encode_values(values)
         if width is None:
-            width = max((len(e) for e in encoded), default=0)
-        buf = b"".join(e.ljust(width, PAD) for e in encoded)
+            width = max(map(len, encoded), default=0)
+        buf = _pad_join(encoded, width)
         stamp = stamp or CapsuleStamp.of_values(values)
         codec, payload = _choose_codec(buf, preset, speed_tier)
         return cls(LAYOUT_FIXED, width, len(values), stamp, codec, preset, payload)
@@ -207,8 +244,7 @@ class Capsule:
         speed_tier: bool = False,
     ) -> "Capsule":
         """Pack *values* NUL-separated (the w/o-fixed ablation layout)."""
-        encoded = [_encode(v) for v in values]
-        buf = PAD.join(encoded)
+        buf = PAD.join(_encode_values(values))
         stamp = stamp or CapsuleStamp.of_values(values)
         codec, payload = _choose_codec(buf, preset, speed_tier)
         return cls(LAYOUT_VARIABLE, 0, len(values), stamp, codec, preset, payload)
@@ -227,17 +263,19 @@ class Capsule:
         start byte of region *j* is ``Σ_{i<j} count_i · width_i`` — exactly
         the direct-locating formula of §5.2.
         """
+        all_values = list(chain.from_iterable(regions))
+        encoded = _encode_values(all_values)
         parts: List[bytes] = []
-        all_values: List[str] = []
+        start = 0
         for region, width in zip(regions, widths):
-            for value in region:
-                encoded = _encode(value)
-                if len(encoded) > width:
-                    raise CompressionError(
-                        f"value {value!r} longer than its region width {width}"
-                    )
-                parts.append(encoded.ljust(width, PAD))
-                all_values.append(value)
+            chunk = encoded[start : start + len(region)]
+            start += len(region)
+            if chunk and max(map(len, chunk)) > width:
+                value = next(v for v, e in zip(region, chunk) if len(e) > width)
+                raise CompressionError(
+                    f"value {value!r} longer than its region width {width}"
+                )
+            parts.append(_pad_join(chunk, width))
         buf = b"".join(parts)
         stamp = CapsuleStamp.of_values(all_values)
         codec, payload = _choose_codec(buf, preset, speed_tier)
@@ -403,11 +441,24 @@ class Capsule:
         return cls(layout, width, count, stamp, codec, preset, payload)
 
 
-def _encode(value: str) -> bytes:
-    encoded = value.encode("utf-8")
-    if PAD_CHAR in encoded:
+def _encode_values(values: Sequence[str]) -> List[bytes]:
+    """UTF-8 encode *values* in one pass: NUL-join, encode, split.
+
+    A value holding a NUL would add a separator, so one length check on
+    the split catches it for the whole vector.
+    """
+    if not values:
+        return []
+    encoded = "\0".join(values).encode("utf-8").split(PAD)
+    if len(encoded) != len(values):
         raise CompressionError("log values must not contain NUL bytes")
     return encoded
+
+
+def _pad_join(encoded: Sequence[bytes], width: int) -> bytes:
+    """Concatenate *encoded* values, each NUL-padded to *width*."""
+    n = len(encoded)
+    return b"".join(map(bytes.ljust, encoded, repeat(width, n), repeat(PAD, n)))
 
 
 def _choose_codec(

@@ -76,12 +76,16 @@ def type_mask(text: str) -> int:
 
 
 def type_mask_of_values(values: Iterable[str]) -> int:
-    """Return the combined type number of every value in *values*."""
+    """Return the combined type number of every value in *values*.
+
+    Only the distinct characters matter, so one C-level join-and-set pass
+    replaces a per-value scan and the class lookup runs once per distinct
+    character.
+    """
     mask = 0
-    for value in values:
-        mask |= type_mask(value)
-        if mask == ALL_CLASSES:
-            break
+    for ch in set("".join(values)):
+        code = ord(ch)
+        mask |= _CHAR_CLASS[code] if code < 256 else OTHER
     return mask
 
 

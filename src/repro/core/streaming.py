@@ -27,10 +27,11 @@ ingest lock, so no line is double-counted or dropped across the seal
 race.
 
 Parsing for the tail is *incremental*: every ``append`` assigns its line
-against the templates already mined by the stream (one match-score scan
-over same-width templates), so by the time a query arrives the parse is
-already paid and materializing the tail block costs only the cheap
-encode (plain vectors, preset 0, speed-tier codec, permissive stamps).
+against the templates already mined by the stream (the batch parser's
+ranked matcher: same-width templates, most specific first), so by the
+time a query arrives the parse is already paid and materializing the
+tail block costs only the cheap encode (plain vectors, preset 0,
+speed-tier codec, permissive stamps).
 Lines no known template matches sit in a small residual that is mined
 on demand at build time — cold streams degrade to exactly the old
 build-time full parse.  The built box is cached per tail version; the
@@ -59,7 +60,7 @@ from ..query.executor import QueryExecutor, StoreBoxSource
 from ..query.fragcache import bump_generation
 from ..staticparse.cache import TemplateCache
 from ..staticparse.parser import BlockParser, Group, ParsedBlock
-from ..staticparse.template import Template
+from ..staticparse.template import Template, TemplateMatcher
 from .compressor import encode_parsed, parse_block
 from .config import LogGrepConfig
 from .loggrep import CompressionReport, LogGrep
@@ -170,8 +171,7 @@ class StreamingCompressor:
         # matcher templates (refreshed from the scheduler's cache at
         # every seal), the buffer's accumulated groups/residual, and the
         # frozen segments of blocks that sealed but have not committed.
-        self._tail_templates: List[Template] = []
-        self._tail_by_count: Dict[int, List[Template]] = {}
+        self._tail_matcher = TemplateMatcher()
         self._tail_groups: Dict[int, Group] = {}
         self._tail_residual: List[Tuple[int, str]] = []
         self._parsed_pending: Dict[int, _ParsedSegment] = {}
@@ -182,31 +182,20 @@ class StreamingCompressor:
         warm-start cache (called under the lock at init and after every
         seal, when the scheduler's ordered parse has just learned the
         sealed block's templates)."""
-        self._tail_templates = []
-        self._tail_by_count = {}
         cache = self._scheduler.template_cache
-        if cache is not None:
-            for i, key in enumerate(cache.snapshot()):
-                template = Template(i, list(key))
-                self._tail_templates.append(template)
-                self._tail_by_count.setdefault(
-                    template.num_tokens, []
-                ).append(template)
+        self._tail_matcher = TemplateMatcher(
+            Template(i, list(key))
+            for i, key in enumerate(cache.snapshot() if cache is not None else ())
+        )
 
     def _assign_tail_line(self, line: str, local_id: int) -> None:
         """Incrementally parse one appended line (under the lock).
 
-        The same most-constants-win rule as the batch parser's
-        ``_best_match``; unmatched lines land in the residual, which the
-        tail build mines on demand.
+        The batch parser's most-constants-win matcher; unmatched lines
+        land in the residual, which the tail build mines on demand.
         """
         tokens = tokenize(line)
-        best: Optional[Template] = None
-        best_score = -1
-        for template in self._tail_by_count.get(len(tokens), ()):
-            score = template.match_score(tokens)
-            if score > best_score:
-                best, best_score = template, score
+        best = self._tail_matcher.match(tokens)
         if best is None:
             self._tail_residual.append((local_id, line))
             return

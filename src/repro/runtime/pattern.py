@@ -10,12 +10,15 @@ its own Capsule (§4.2).
 :meth:`RuntimePattern.match` splits a concrete value into its sub-values,
 anchoring each constant at its first occurrence left-to-right — the same
 greedy rule the tree-expanding extractor uses, so values the extractor
-would have split are matched consistently.  Values that do not match go to
-the outlier Capsule; accuracy affects performance, never correctness.
+would have split are matched consistently.  The rule is compiled once per
+pattern into an atomic regular expression, so matching a value is a
+single C-level ``fullmatch``.  Values that do not match go to the outlier
+Capsule; accuracy affects performance, never correctness.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
@@ -46,10 +49,11 @@ Element = Union[Const, SubVar]
 class RuntimePattern:
     """An ordered mix of :class:`Const` and :class:`SubVar` elements."""
 
-    __slots__ = ("elements",)
+    __slots__ = ("elements", "_regex")
 
     def __init__(self, elements: Sequence[Element]):
         self.elements = list(_normalize(elements))
+        self._regex: Optional["re.Pattern[str]"] = None
 
     # ------------------------------------------------------------------
     # structure
@@ -98,46 +102,11 @@ class RuntimePattern:
         trailing constant a suffix, and interior constants bind to their
         first occurrence after the previous element.
         """
-        elements = self.elements
-        n = len(elements)
-        subvalues: List[str] = []
-        pos = 0
-        pending_subvar = False  # a SubVar is waiting for its right boundary
-        for i, el in enumerate(elements):
-            if isinstance(el, SubVar):
-                if pending_subvar:
-                    # Two adjacent sub-variables cannot be disambiguated;
-                    # give the first an empty value (normalize() prevents
-                    # this arising from our own extractors).
-                    subvalues.append("")
-                pending_subvar = True
-                continue
-            text = el.text
-            if i == 0:
-                if not value.startswith(text):
-                    return None
-                pos = len(text)
-            elif i == n - 1:
-                if not value.endswith(text) or len(value) - len(text) < pos:
-                    return None
-                if pending_subvar:
-                    subvalues.append(value[pos : len(value) - len(text)])
-                    pending_subvar = False
-                pos = len(value)
-            else:
-                found = value.find(text, pos)
-                if found == -1:
-                    return None
-                if pending_subvar:
-                    subvalues.append(value[pos:found])
-                    pending_subvar = False
-                pos = found + len(text)
-        if pending_subvar:
-            subvalues.append(value[pos:])
-            pos = len(value)
-        if pos != len(value):
-            return None
-        return subvalues
+        regex = self._regex
+        if regex is None:
+            regex = self._regex = _compile(self.elements)
+        found = regex.fullmatch(value)
+        return None if found is None else list(found.groups())
 
     def render(self, subvalues: Sequence[str]) -> str:
         """Inverse of :meth:`match`."""
@@ -174,7 +143,40 @@ class RuntimePattern:
                 elements.append(SubVar(reader.read_varint()))
         pattern = cls.__new__(cls)
         pattern.elements = elements
+        pattern._regex = None
         return pattern
+
+
+def _compile(elements: Sequence[Element]) -> "re.Pattern[str]":
+    """Compile the greedy first-occurrence rule of :meth:`RuntimePattern.match`.
+
+    A leading constant is a literal prefix and a trailing one a suffix
+    (``(.*)C`` under ``fullmatch``).  An interior constant binds to its
+    first occurrence after the previous element: ``(?>(.*?)C)`` takes the
+    shortest run before it and the atomic group forbids backtracking to a
+    later occurrence.  Of two adjacent sub-variables the first is empty,
+    ``()``; a sub-variable left pending at the end takes the rest.
+    """
+    parts: List[str] = []
+    last = len(elements) - 1
+    pending = False  # a SubVar is waiting for its right boundary
+    for i, el in enumerate(elements):
+        if isinstance(el, SubVar):
+            if pending:
+                parts.append("()")
+            pending = True
+            continue
+        text = re.escape(el.text)
+        if i == 0:
+            parts.append(text)
+        elif i == last:
+            parts.append(("(.*)" if pending else ".*") + text)
+        else:
+            parts.append("(?>" + ("(.*?)" if pending else ".*?") + text + ")")
+        pending = False
+    if pending:
+        parts.append("(.*)")
+    return re.compile("".join(parts), re.DOTALL)
 
 
 def _normalize(elements: Sequence[Element]):

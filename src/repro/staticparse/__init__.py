@@ -5,10 +5,11 @@ template warm-start cache."""
 from .cache import TemplateCache, TemplateKey, template_key
 from .miner import TemplateMiner, mine_templates
 from .parser import BlockParser, Group, ParsedBlock, ParseOutcome
-from .template import VAR_MARK, Template
+from .template import VAR_MARK, Template, TemplateMatcher
 
 __all__ = [
     "Template",
+    "TemplateMatcher",
     "VAR_MARK",
     "TemplateMiner",
     "mine_templates",

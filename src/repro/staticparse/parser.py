@@ -16,14 +16,14 @@ always covers 100% of the block.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..common.sampling import DEFAULT_SAMPLE_RATE, sample
 from ..common.tokenizer import tokenize
 from ..obs.trace import get_tracer
 from .cache import TemplateCache, TemplateKey, template_key
 from .miner import DEFAULT_SIMILARITY, TemplateMiner
-from .template import Template
+from .template import Template, TemplateMatcher
 
 #: Default fraction of unmatched lines above which a warm-started parse
 #: distrusts the cache and re-mines the whole block (drift guard).
@@ -138,15 +138,12 @@ class BlockParser:
         for tokens in sample(token_lines, self.sample_rate, self.seed):
             miner.observe(tokens)
         templates = miner.templates()
-
-        by_count: Dict[int, List[Template]] = {}
-        for template in templates:
-            by_count.setdefault(template.num_tokens, []).append(template)
+        matcher = TemplateMatcher(templates)
 
         assignments: List[int] = [-1] * len(token_lines)
         unmatched: List[int] = []
         for line_id, tokens in enumerate(token_lines):
-            template = _best_match(by_count.get(len(tokens), ()), tokens)
+            template = matcher.match(tokens)
             if template is None:
                 unmatched.append(line_id)
             else:
@@ -159,12 +156,12 @@ class BlockParser:
                 extra_miner.observe(token_lines[line_id])
             extras = extra_miner.templates(first_id=len(templates))
             for template in extras:
-                by_count.setdefault(template.num_tokens, []).append(template)
+                matcher.add(template)
             templates.extend(extras)
             still: List[int] = []
             for line_id in unmatched:
                 tokens = token_lines[line_id]
-                template = _best_match(by_count.get(len(tokens), ()), tokens)
+                template = matcher.match(tokens)
                 if template is None:
                     still.append(line_id)
                 else:
@@ -174,7 +171,7 @@ class BlockParser:
                 tokens = token_lines[line_id]
                 catch_all = Template(len(templates), [None] * len(tokens))
                 templates.append(catch_all)
-                by_count.setdefault(catch_all.num_tokens, []).append(catch_all)
+                matcher.add(catch_all)
                 assignments[line_id] = catch_all.template_id
 
         groups: Dict[int, Group] = {}
@@ -215,15 +212,13 @@ class BlockParser:
         token_lines = [tokenize(line) for line in lines]
         snapshot = cache.snapshot()
         templates = [Template(i, list(key)) for i, key in enumerate(snapshot)]
-        by_count: Dict[int, List[Template]] = {}
-        for template in templates:
-            by_count.setdefault(template.num_tokens, []).append(template)
+        matcher = TemplateMatcher(templates)
 
         assignments: List[int] = [-1] * len(token_lines)
         unmatched: List[int] = []
         with tracer.span("parse_cached", cached_templates=len(templates)) as wspan:
             for line_id, tokens in enumerate(token_lines):
-                template = _best_match(by_count.get(len(tokens), ()), tokens)
+                template = matcher.match(tokens)
                 if template is None:
                     unmatched.append(line_id)
                 else:
@@ -252,13 +247,13 @@ class BlockParser:
                     extra_miner.observe(token_lines[line_id])
                 extras = extra_miner.templates(first_id=len(templates))
                 for template in extras:
-                    by_count.setdefault(template.num_tokens, []).append(template)
+                    matcher.add(template)
                 templates.extend(extras)
                 new_keys.extend(template_key(t) for t in extras)
                 still: List[int] = []
                 for line_id in unmatched:
                     tokens = token_lines[line_id]
-                    template = _best_match(by_count.get(len(tokens), ()), tokens)
+                    template = matcher.match(tokens)
                     if template is None:
                         still.append(line_id)
                     else:
@@ -269,7 +264,7 @@ class BlockParser:
                     tokens = token_lines[line_id]
                     catch_all = Template(len(templates), [None] * len(tokens))
                     templates.append(catch_all)
-                    by_count.setdefault(catch_all.num_tokens, []).append(catch_all)
+                    matcher.add(catch_all)
                     assignments[line_id] = catch_all.template_id
 
         # Renumber the used templates into block-local ids by order of
@@ -296,13 +291,3 @@ class BlockParser:
             len(token_lines), hits, len(unmatched), False, added
         )
 
-
-def _best_match(candidates: Sequence[Template], tokens: Sequence[str]):
-    """The matching template with the most constant tokens, if any."""
-    best = None
-    best_score = -1
-    for template in candidates:
-        score = template.match_score(tokens)
-        if score > best_score:
-            best, best_score = template, score
-    return best if best_score >= 0 else None

@@ -12,8 +12,12 @@ slot values reproduces the original line byte-for-byte.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from operator import attrgetter, itemgetter
+from typing import (
+    Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence,
+)
 
 from ..common.tokenizer import join_tokens
 
@@ -83,11 +87,50 @@ class Template:
             out[pos] = value
         return join_tokens(out)  # type: ignore[arg-type]
 
-    def match_score(self, tokens: Sequence[str]) -> int:
-        """Number of constant tokens that agree (-1 when not a match).
 
-        Used to pick the most specific template when several match a line.
-        """
-        if not self.matches(tokens):
-            return -1
-        return sum(1 for tok in self.tokens if tok is not None)
+class TemplateMatcher:
+    """Assigns token lists to the most specific matching template.
+
+    A template's specificity — its constant-token count — is fixed, so
+    each token-count bucket is ranked once, by descending constant count
+    and stably (earlier templates first among equals), and a line takes
+    the first template in its bucket that matches.  That is the template
+    a scan for the highest-scoring match would pick, ties included.  Each
+    template's constants are compared in one C-level step: an
+    ``itemgetter`` over the constant slots against the constant tokens.
+    """
+
+    __slots__ = ("_buckets",)
+
+    def __init__(self, templates: Iterable[Template] = ()):
+        self._buckets: Dict[int, List[_Ranked]] = {}
+        for template in templates:
+            self.add(template)
+
+    def add(self, template: Template) -> None:
+        """Rank *template* after every known template at least as specific."""
+        slots = [i for i, tok in enumerate(template.tokens) if tok is not None]
+        constants = tuple(template.tokens[i] for i in slots)
+        ranked = _Ranked(
+            -len(slots),
+            template,
+            itemgetter(*slots) if slots else None,
+            constants[0] if len(slots) == 1 else constants,
+        )
+        bucket = self._buckets.setdefault(template.num_tokens, [])
+        insort(bucket, ranked, key=attrgetter("rank"))
+
+    def match(self, tokens: Sequence[str]) -> Optional[Template]:
+        """The most specific template *tokens* fits, or None."""
+        for ranked in self._buckets.get(len(tokens), ()):
+            getter = ranked.getter
+            if getter is None or getter(tokens) == ranked.constants:
+                return ranked.template
+        return None
+
+
+class _Ranked(NamedTuple):
+    rank: int  # minus the constant count: ascending order is most specific first
+    template: Template
+    getter: Optional[Callable[[Sequence[str]], Any]]
+    constants: Any  # what ``getter`` returns on a match

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.staticparse import (
     BlockParser,
     Template,
+    TemplateMatcher,
     TemplateMiner,
     VAR_MARK,
     mine_templates,
@@ -36,10 +37,14 @@ class TestTemplate:
         with pytest.raises(ValueError):
             t.render([])
 
-    def test_match_score(self):
-        t = Template(0, ["a", None, "c"])
-        assert t.match_score(["a", "x", "c"]) == 2
-        assert t.match_score(["b", "x", "c"]) == -1
+    def test_matcher_prefers_most_constants(self):
+        loose = Template(0, [None, None, "c"])
+        tight = Template(1, ["a", None, "c"])
+        matcher = TemplateMatcher([loose, tight])
+        assert matcher.match(["a", "x", "c"]) is tight
+        assert matcher.match(["b", "x", "c"]) is loose
+        assert matcher.match(["b", "x", "d"]) is None
+        assert matcher.match(["a", "x"]) is None
 
     def test_all_variable_template(self):
         t = Template(0, [None, None])
