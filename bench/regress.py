@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Benchmark regression ledger.
 
-Runs the micro-benches and writes a ``BENCH_PR12.json`` regression ledger:
+Runs the micro-benches and writes a ``BENCH_PR13.json`` regression ledger:
 
 * **Fig-7 grep latency** — LogGrep vs gzip+grep on the Table-1 query of a
   few representative datasets.  The gated metric is the dimensionless
@@ -681,8 +681,8 @@ def main(argv=None):
         help="max ledger-on/ledger-off latency ratio (default: 1.03)",
     )
     parser.add_argument(
-        "--out", default=os.path.join(REPO, "BENCH_PR12.json"),
-        help="result ledger path (default: BENCH_PR12.json at the repo root)",
+        "--out", default=os.path.join(REPO, "BENCH_PR13.json"),
+        help="result ledger path (default: BENCH_PR13.json at the repo root)",
     )
     parser.add_argument(
         "--agg-bytes-bar", type=float, default=0.25,

@@ -1,11 +1,15 @@
 """Byte-range access to stored blobs (the lazy-I/O substrate).
 
 A :class:`BlobSource` is the one interface the capsule layer needs from
-storage: ``read(offset, length)`` and ``size()``.  Two implementations
-exist — :class:`BytesBlobSource` wraps an already-fetched buffer (eager
-deserialization, pinned boxes, tests) and :class:`StoreBlobSource`
-forwards to :meth:`ArchiveStore.get_range`, so a capsule payload is only
-pulled off the store the first time somebody asks for its bytes.
+storage: ``read(offset, length)``, ``size()`` and ``head(n)`` — the
+blob's first bytes, which on a store source also teach it the blob size
+in the same request (:meth:`ArchiveStore.get_head`), so a box header
+costs one round trip instead of a size probe plus a read.  Two
+implementations exist — :class:`BytesBlobSource` wraps an
+already-fetched buffer (eager deserialization, pinned boxes, tests) and
+:class:`StoreBlobSource` forwards to :meth:`ArchiveStore.get_range`, so
+a capsule payload is only pulled off the store the first time somebody
+asks for its bytes.
 
 Both are *strict*: a read past the end of the blob raises
 :class:`~repro.common.errors.FormatError` instead of returning a short
@@ -13,8 +17,8 @@ slice, so a truncated archive surfaces as a format error at the exact
 extent that is missing, never as a garbage payload downstream.
 
 :func:`coalesce_extents` merges sorted byte extents whose gaps are below
-a threshold — the executor uses it to batch the capsule payloads a plan
-actually needs into one ranged read per contiguous run.
+a threshold — ``CapsuleBox.fetch`` uses it to batch the capsule payloads
+a search term or operator needs into one ranged read per contiguous run.
 """
 
 from __future__ import annotations
@@ -40,6 +44,10 @@ class BlobSource:
     def size(self) -> int:
         """Total size of the blob in bytes."""
         raise NotImplementedError
+
+    def head(self, n: int) -> bytes:
+        """The first ``min(n, size())`` bytes of the blob."""
+        return self.read(0, min(n, self.size()))
 
     @property
     def bytes_read(self) -> int:
@@ -87,11 +95,32 @@ class StoreBlobSource(BlobSource):
                 f"{self.name}: ranged read returned {len(data)} byte(s), "
                 f"expected {length} (truncated blob?)"
             )
+        self._charge(length)
+        return data
+
+    def _charge(self, length: int) -> None:
         self._bytes_read += length
         # Charged with the exact length that store.get_range adds to
         # loggrep_store_range_read_bytes_total, so an ANALYZE ledger
         # reconciles with the global metric byte for byte.
         ledger_channel.charge_read(length)
+
+    def head(self, n: int) -> bytes:
+        """The first ``min(n, size)`` bytes in one store request, learning
+        the blob size from the same response (stores without
+        ``get_head`` pay a size probe plus a ranged read)."""
+        get_head = getattr(self.store, "get_head", None)
+        if self._size is not None or get_head is None:
+            return super().head(n)
+        head: Tuple[bytes, int] = get_head(self.name, n)
+        data, size = head
+        self._size = int(size)
+        if len(data) != min(n, self._size):
+            raise FormatError(
+                f"{self.name}: head read returned {len(data)} byte(s) of a "
+                f"{self._size}-byte blob (truncated blob?)"
+            )
+        self._charge(len(data))
         return data
 
     def size(self) -> int:

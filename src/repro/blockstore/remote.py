@@ -21,7 +21,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..common.errors import ReproError
 from ..obs.metrics import get_registry
@@ -69,10 +69,12 @@ class FaultProfile:
 class RemoteStore(ArchiveStore):
     """A fault-injecting ArchiveStore proxy over an inner store.
 
-    Every data-path operation (`get`, `get_range`, `put`, `size`,
-    `delete` and the aux-blob ops) is one simulated request; pure-local
-    bookkeeping (`names`, `exists`, `total_bytes`) is free, matching how
-    an object-store client would cache its listing.
+    Every data-path operation (`get`, `get_range`, `get_head`, `put`,
+    `size`, `delete` and the aux-blob ops) is one simulated request —
+    `get_head` included, since a ranged GET returns the blob size in its
+    response header; pure-local bookkeeping (`names`, `exists`,
+    `total_bytes`) is free, matching how an object-store client would
+    cache its listing.
     """
 
     def __init__(
@@ -144,6 +146,10 @@ class RemoteStore(ArchiveStore):
     def get_range(self, name: str, offset: int, length: int) -> bytes:
         self._request("get_range")
         return self.inner.get_range(name, offset, length)
+
+    def get_head(self, name: str, n: int) -> Tuple[bytes, int]:
+        self._request("get_head")
+        return self.inner.get_head(name, n)
 
     def size(self, name: str) -> int:
         self._request("size")

@@ -8,7 +8,11 @@ Beyond whole-blob ``get``, the store serves **byte ranges**
 (:meth:`ArchiveStore.get_range`) so the query path can fetch a box header,
 its Bloom section or a single capsule payload without paying for the rest
 of the block — cloud storage charges per byte read, and ranged GETs are
-how that charge is kept proportional to query selectivity.  Ranged reads
+how that charge is kept proportional to query selectivity.
+:meth:`ArchiveStore.get_head` reads a blob's first bytes *and* learns its
+size in one call, like an object-store ranged GET whose
+``Content-Range`` header carries the total size: opening a box needs
+both, and on a remote store each is a round trip.  Ranged reads
 are seek+read by default; ``enable_mmap()`` (config ``store_mmap``) maps
 blobs instead, which wins when the same block is range-read many times.
 
@@ -113,6 +117,17 @@ class ArchiveStore:
         _RANGE_READ_BYTES.inc(length)
         _READ_BYTES.inc(length)
         return data
+
+    def get_head(self, name: str, n: int) -> Tuple[bytes, int]:
+        """The first ``min(n, size)`` bytes of blob *name* and its size.
+
+        One request on an object store (a ranged GET reports the total
+        size in ``Content-Range``); here it is ``size`` + ``get_range``,
+        so every store and wrapper that only implements those two keeps
+        working.  The bytes are counted as one ranged read.
+        """
+        size = self.size(name)
+        return self.get_range(name, 0, min(n, size)), size
 
     def size(self, name: str) -> int:
         """Stored size of one blob in bytes (no read charged)."""

@@ -97,14 +97,16 @@ class BoxTOC:
     def read(cls, source: BlobSource) -> "BoxTOC":
         """Parse and strictly validate the header of *source*.
 
-        Every field is checked against the others and against the blob
-        size, so a flipped header byte raises :class:`FormatError` here —
-        never a garbage slice downstream.
+        One head read of ``min(32, size)`` bytes covers both header
+        versions and, on a store source, learns the blob size in the same
+        request.  Every field is checked against the others and against
+        the blob size, so a flipped header byte raises
+        :class:`FormatError` here — never a garbage slice downstream.
         """
+        head = source.head(_V2_HEADER_LEN)
         size = source.size()
         if size < 5:
             raise FormatError("truncated CapsuleBox header")
-        head = source.read(0, min(_V1_HEADER_LEN, size))
         if head[:4] != MAGIC:
             raise FormatError("not a CapsuleBox: bad magic")
         version = head[4]
@@ -126,7 +128,6 @@ class BoxTOC:
             )
         if size < _V2_HEADER_LEN:
             raise FormatError("truncated CapsuleBox header")
-        head += source.read(_V1_HEADER_LEN, _V2_HEADER_LEN - _V1_HEADER_LEN)
         flags = head[5]
         header_len = int.from_bytes(head[6:8], "little")
         if flags & ~_KNOWN_FLAGS:
@@ -268,8 +269,8 @@ class CapsuleBox:
     def open_bloom(cls, source: BlobSource) -> Optional[BloomFilter]:
         """Read only the Bloom filter, via ranged reads (cheap pruning).
 
-        Costs the header plus the bloom section — never the metadata or
-        any payload — on both v1 and v2 blobs.
+        Costs two reads, the header and the bloom section — never the
+        metadata or any payload — on both v1 and v2 blobs.
         """
         toc = BoxTOC.read(source)
         reader = BinaryReader(source.read(toc.bloom_off, toc.bloom_len))
@@ -284,7 +285,8 @@ class CapsuleBox:
 
     @classmethod
     def open(cls, source: BlobSource, templates=None) -> "CapsuleBox":
-        """Load a box through ranged reads: header + bloom + metadata only.
+        """Load a box through two ranged reads: the header, then the
+        Bloom and metadata sections together — never a payload.
 
         Capsule payloads stay unfetched until first access; use
         :meth:`prefetch` to batch the ones a plan will need.  A box in
@@ -302,10 +304,13 @@ class CapsuleBox:
                     "template resolver to open"
                 )
             resolver = templates
-        bloom_reader = BinaryReader(source.read(toc.bloom_off, toc.bloom_len))
+        # The Bloom and metadata sections are contiguous: one ranged read
+        # covers both, so an open is two requests (head, sections).
+        sections = source.read(toc.bloom_off, toc.bloom_len + toc.meta_len)
+        bloom_reader = BinaryReader(sections[: toc.bloom_len])
         bloom = BloomFilter.read(bloom_reader) if bloom_reader.read_u8() else None
         try:
-            meta = zlib.decompress(source.read(toc.meta_off, toc.meta_len))
+            meta = zlib.decompress(sections[toc.bloom_len :])
         except zlib.error as exc:
             raise FormatError(f"corrupt CapsuleBox metadata: {exc}") from exc
         reader = BinaryReader(meta)
@@ -344,38 +349,65 @@ class CapsuleBox:
         the payloads of a group are adjacent by construction — one read
         per contiguous run covers them all.
         """
-        source = self._source
-        if source is None or isinstance(source, BytesBlobSource):
-            # In-memory boxes have no extents; bytes-backed boxes already
-            # hold the whole blob, so capsules slice it on demand.
-            return 0
         groups = (
             self.groups
             if group_indices is None
             else [self.groups[i] for i in group_indices]
         )
-        wanted: List[Capsule] = []
-        for group in groups:
-            for vector in group.vectors:
-                for capsule in _capsules_of(vector):
-                    if not capsule.is_fetched and capsule.payload_extent:
-                        wanted.append(capsule)
+        return self.fetch(
+            (
+                capsule
+                for group in groups
+                for vector in group.vectors
+                for capsule in _capsules_of(vector)
+            ),
+            gap,
+        )
+
+    @property
+    def fetches_lazily(self) -> bool:
+        """True when capsule payloads come from ranged store reads (a box
+        opened over a store source), so batching them saves requests."""
+        source = self._source
+        return source is not None and not isinstance(source, BytesBlobSource)
+
+    def fetch(self, capsules: Iterable[Capsule], gap: int = PREFETCH_GAP) -> int:
+        """Fetch the still-unfetched stored payloads among *capsules* in
+        one coalesced pass: extents closer than *gap* bytes share a ranged
+        read.  Returns the bytes fetched.
+
+        This is the one capsule-fetch path: :meth:`prefetch`, the Match
+        pre-pass (every capsule one search term's checks locate by stamp)
+        and the Aggregate operator all come through here.  In-memory
+        boxes have no extents and bytes-backed boxes already hold the
+        whole blob, so both fetch nothing.
+        """
+        if not self.fetches_lazily:
+            return 0
+        wanted = {
+            id(capsule): capsule
+            for capsule in capsules
+            if not capsule.is_fetched and capsule.payload_extent
+        }
         if not wanted:
             return 0
-        extents = [c.payload_extent for c in wanted if c.payload_extent]
-        runs = coalesce_extents(extents, gap=gap)
-        buffers = [(off, source.read(off, length)) for off, length in runs]
+        ordered = sorted(wanted.values(), key=lambda c: c.payload_extent)
+        extents = [capsule.payload_extent for capsule in ordered]
+        source = self._source
+        assert source is not None
         fetched = 0
-        for capsule in wanted:
-            extent = capsule.payload_extent
-            if extent is None:  # pragma: no cover - filtered above
-                continue
-            off, length = extent
-            for run_off, buf in buffers:
-                if run_off <= off and off + length <= run_off + len(buf):
-                    capsule.pin_payload(buf[off - run_off : off - run_off + length])
-                    fetched += length
+        i = 0
+        for run_off, run_len in coalesce_extents(extents, gap=gap):
+            buf = source.read(run_off, run_len)
+            # Runs and capsules are both in offset order, and every
+            # capsule lies inside exactly one run.
+            while i < len(ordered):
+                off, length = extents[i]  # type: ignore[misc]
+                if off + length > run_off + run_len:
                     break
+                ordered[i].pin_payload(buf[off - run_off : off - run_off + length])
+                fetched += length
+                i += 1
         return fetched
 
     # ------------------------------------------------------------------

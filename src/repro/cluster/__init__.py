@@ -13,6 +13,7 @@ from .node import NodeDownError, WorkerNode
 from .placement import primary_node, replica_nodes
 from .scatter import (
     LatencyTracker,
+    ReplicaRanker,
     ScatterConfig,
     ScatterGather,
     ShardError,
@@ -36,4 +37,5 @@ __all__ = [
     "ShardOutcome",
     "ShardError",
     "LatencyTracker",
+    "ReplicaRanker",
 ]

@@ -51,6 +51,7 @@ from .node import WorkerNode
 from .placement import replica_nodes
 from .scatter import (
     LatencyTracker,
+    ReplicaRanker,
     ScatterConfig,
     ScatterGather,
     ShardError,
@@ -223,10 +224,13 @@ class ClusterLogGrep:
         self._next_line_id = 0
         self.raw_bytes = 0
         self.latency = LatencyTracker()
+        #: Per-node latency estimates ordering every shard's replicas.
+        self.ranker = ReplicaRanker()
         self._engine = ScatterGather(
             self.scatter_config,
             self.latency,
             alive=self._node_alive,
+            ranker=self.ranker,
         )
         self._pool = ThreadPoolExecutor(
             max_workers=parallelism or max(2, num_nodes)
@@ -292,11 +296,17 @@ class ClusterLogGrep:
                     block=name,
                     node=replicas[0],
                 ) as ispan:
+                    # Remote puts fail transiently: retry each one with the
+                    # scatter engine's attempt budget and backoff.
+                    attempts = self.scatter_config.max_attempts
+                    backoff_s = self.scatter_config.retry_backoff_s
                     primary = self.nodes[replicas[0]]
-                    name, data, summary = primary.compress_and_store(block)
+                    name, data, summary = primary.compress_and_store(
+                        block, attempts, backoff_s
+                    )
                     for replica_id in replicas[1:]:
                         self.nodes[replica_id].store_replica(
-                            name, data, summary
+                            name, data, summary, attempts, backoff_s
                         )
                     self._placement[name] = replicas
                     ispan.set("replicas", len(replicas))
@@ -338,8 +348,9 @@ class ClusterLogGrep:
         receives the same :class:`~repro.query.plan.QueryPlan`.  Shards
         return (group → row bitmap) partials — a few bytes per matched
         group — and only the blocks (and rows) the coordinator actually
-        keeps are rendered back into lines, preferably by the replica
-        that already served the locate (its capsules are warm).  With
+        keeps are rendered back into lines, by whichever replica ranks
+        fastest (nodes keep no box cache, so the locate replica holds
+        nothing warm for the fetch).  With
         ``limit`` the fetch stops at the block prefix covering the first
         *limit* matches (blocks partition the line-id space in name
         order), so a point lookup over a huge archive reconstructs a
@@ -568,16 +579,15 @@ class ClusterLogGrep:
             hit = kept
         if not hit:
             return []
-        tasks = []
-        for outcome in hit:
-            # Prefer the replica that served the locate: its box (and the
-            # hit groups' capsules) are warm.
-            replicas = [outcome.node_id] + [
-                nid
-                for nid in self._placement[outcome.name]
-                if nid != outcome.node_id
-            ]
-            tasks.append(ShardTask(outcome.name, replicas, outcome.payload))
+        # Any replica may serve the fetch: a node keeps no box cache, so
+        # the one that served the locate reopens the box like the others,
+        # and the replica ranking picks the fastest.
+        tasks = [
+            ShardTask(
+                outcome.name, list(self._placement[outcome.name]), outcome.payload
+            )
+            for outcome in hit
+        ]
         fetched = self._scatter(
             tasks,
             lambda nid, task: self.nodes[nid].reconstruct_rows(

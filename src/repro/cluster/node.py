@@ -29,6 +29,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..blockstore.block import LogBlock, block_name
 from ..blockstore.index import ArchiveIndex, BlockSummary
+from ..blockstore.remote import RemoteStoreError
 from ..blockstore.store import ArchiveStore, MemoryStore
 from ..common.errors import ReproError
 from ..core.compressor import compress_block
@@ -125,28 +126,50 @@ class WorkerNode:
     # ------------------------------------------------------------------
     # ingest path
     # ------------------------------------------------------------------
+    def _put(self, name: str, data: bytes, attempts: int, backoff_s: float) -> None:
+        """``store.put``, retried with exponential backoff while the store
+        fails transiently, up to *attempts* tries in all."""
+        for attempt in range(1, attempts + 1):
+            try:
+                self.store.put(name, data)
+                return
+            except RemoteStoreError:
+                if attempt >= attempts:
+                    raise
+                time.sleep(backoff_s)
+                backoff_s *= 2.0
+
     def compress_and_store(
-        self, block: LogBlock
+        self, block: LogBlock, attempts: int = 1, backoff_s: float = 0.0
     ) -> Tuple[str, bytes, BlockSummary]:
         """Compress a raw block locally; returns (name, archive bytes,
         prune summary) so the coordinator can fan the replica copies —
-        and their summaries — out."""
+        and their summaries — out.  A failed put is retried (the block is
+        not recompressed): *attempts* tries in all, the first backoff
+        *backoff_s*, doubling."""
         with self._serve():
             name = block_name(block.block_id)
             box = compress_block(block, self.config)
             data = box.serialize()
             summary = BlockSummary.from_box(box, lines=block.lines)
-            self.store.put(name, data)
+            self._put(name, data, attempts, backoff_s)
             self.index.add(name, summary)
             self.blocks_compressed += 1
             _NODE_BLOCKS.inc(node=self.node_id)
             return name, data, summary
 
     def store_replica(
-        self, name: str, data: bytes, summary: Optional[BlockSummary] = None
+        self,
+        name: str,
+        data: bytes,
+        summary: Optional[BlockSummary] = None,
+        attempts: int = 1,
+        backoff_s: float = 0.0,
     ) -> None:
+        """Store one replica copy; a failed put is retried as in
+        :meth:`compress_and_store`."""
         with self._serve():
-            self.store.put(name, data)
+            self._put(name, data, attempts, backoff_s)
             if summary is not None:
                 self.index.add(name, summary)
 

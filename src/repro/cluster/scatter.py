@@ -3,7 +3,10 @@
 One query scatters one *shard task* per block.  Each task runs a small
 state machine on the coordinator:
 
-* launch the first attempt on the block's preferred replica;
+* launch the first attempt on the alive replica with the lowest latency
+  estimate (:class:`ReplicaRanker`, a per-node EWMA of attempt latency —
+  C3-style adaptive replica selection), so a straggler stops receiving
+  first attempts once it has been seen to be slow;
 * if the attempt has not returned after an adaptive **hedge delay** (a
   high percentile of recently observed shard latencies), launch a
   speculative second attempt on the next replica and take whichever
@@ -11,8 +14,8 @@ state machine on the coordinator:
 * an attempt that exceeds the per-shard **deadline** is abandoned (its
   thread keeps running; its result is discarded) and counts as a timeout;
 * a failed or timed-out attempt is **retried with exponential backoff**
-  on the next replica, round-robin, until ``max_attempts`` is spent —
-  only then does the shard (and the query) fail.
+  on the next replica in rank order, round-robin, until ``max_attempts``
+  is spent — only then does the shard (and the query) fail.
 
 Shard tasks themselves run on a bounded fan-out pool, so a thousand-block
 archive never launches a thousand concurrent RPCs.  Results carry
@@ -139,6 +142,73 @@ class LatencyTracker:
         return min(max(value, config.hedge_min_s), config.hedge_max_s)
 
 
+class ReplicaRanker:
+    """Per-node EWMA of attempt latency, ordering each shard's replicas.
+
+    Learns from every winning attempt and, as a lower bound, from the
+    elapsed time of every attempt abandoned to a hedge or a deadline
+    (the estimate is raised to the bound, never lowered by it).  An
+    estimate *ages*: it halves for every :attr:`HALF_LIFE_S` without a
+    fresh observation.  Estimates of the nodes in use are refreshed all
+    the time, so a node demoted for being slow drifts back ahead of them
+    and is re-tried — if it has recovered it keeps its first attempts,
+    otherwise one slow attempt demotes it again.
+
+    Shared across queries (like :class:`LatencyTracker`) and thread-safe.
+    ``clock`` is injectable so tests can age estimates without sleeping.
+    """
+
+    #: Weight of a new observation.
+    ALPHA = 0.3
+    #: Seconds for an unrefreshed estimate to halve.
+    HALF_LIFE_S = 2.0
+
+    def __init__(self, clock: Callable[[], float] = time.perf_counter):
+        self.clock = clock
+        self._estimates: Dict[str, Tuple[float, float]] = {}  # node → (s, at)
+        self._lock = threading.Lock()
+
+    def _aged(self, node_id: str, now: float) -> Optional[float]:
+        entry = self._estimates.get(node_id)
+        if entry is None:
+            return None
+        seconds, at = entry
+        return seconds * 0.5 ** (max(0.0, now - at) / self.HALF_LIFE_S)
+
+    def observe(self, node_id: str, seconds: float, bound: bool = False) -> None:
+        """Fold one attempt latency into *node_id*'s estimate; with
+        ``bound`` it is only a lower bound (the attempt was abandoned)."""
+        with self._lock:
+            now = self.clock()
+            current = self._aged(node_id, now)
+            if current is not None:
+                if bound:
+                    # The node's latency is at least *seconds*.
+                    seconds = max(current, seconds)
+                else:
+                    seconds = current + self.ALPHA * (seconds - current)
+            self._estimates[node_id] = (seconds, now)
+
+    def estimate(self, node_id: str) -> Optional[float]:
+        """The aged estimate in seconds; None while unobserved."""
+        with self._lock:
+            return self._aged(node_id, self.clock())
+
+    def order(self, replicas: Sequence[str]) -> List[str]:
+        """*replicas* (in placement order) sorted by aged estimate.
+
+        An unobserved node ranks as instantly fast, so it is measured on
+        its next shard instead of hiding behind a slow peer forever; the
+        sort is stable, so ties — every node of a cold cluster — keep the
+        placement order.
+        """
+        with self._lock:
+            now = self.clock()
+            estimates = [self._aged(node_id, now) or 0.0 for node_id in replicas]
+        ranked = sorted(zip(estimates, range(len(replicas))))
+        return [replicas[i] for _, i in ranked]
+
+
 @dataclass
 class ShardTask:
     """One block's unit of scatter work."""
@@ -188,9 +258,11 @@ class ScatterGather:
         config: ScatterConfig,
         latency: Optional[LatencyTracker] = None,
         alive: Optional[Callable[[str], bool]] = None,
+        ranker: Optional[ReplicaRanker] = None,
     ):
         self.config = config
         self.latency = latency if latency is not None else LatencyTracker()
+        self.ranker = ranker if ranker is not None else ReplicaRanker()
         self._alive = alive if alive is not None else (lambda _nid: True)
         self._fanout = ThreadPoolExecutor(
             max_workers=max(1, config.fanout_concurrency),
@@ -236,7 +308,9 @@ class ScatterGather:
     ) -> ShardOutcome:
         config = self.config
         start = time.perf_counter()
-        candidates = [nid for nid in task.replicas if self._alive(nid)]
+        candidates = self.ranker.order(
+            [nid for nid in task.replicas if self._alive(nid)]
+        )
         if not candidates:
             raise ShardError(
                 task.name, f"all replicas down ({task.replicas})"
@@ -297,9 +371,15 @@ class ScatterGather:
                     _RETRIES.inc(reason="failure")
                     continue
                 # Winner: everything still inflight is abandoned (results
-                # discarded — attempts are idempotent reads).
+                # discarded — attempts are idempotent reads); their elapsed
+                # time is a lower bound on their nodes' latency.
                 elapsed = now - start
                 self.latency.observe(now - attempt.started)
+                self.ranker.observe(attempt.node_id, now - attempt.started)
+                for other in inflight.values():
+                    self.ranker.observe(
+                        other.node_id, now - other.started, bound=True
+                    )
                 _SHARD_SECONDS.observe(elapsed)
                 if attempt.hedged:
                     _HEDGE_WINS.inc()
@@ -329,6 +409,9 @@ class ScatterGather:
                         # stop listening to it.
                         inflight.pop(future)
                         future.cancel()
+                        self.ranker.observe(
+                            attempt.node_id, now - attempt.started, bound=True
+                        )
                         timeouts += 1
                         retries += 1
                         _TIMEOUTS.inc()

@@ -30,6 +30,9 @@ from .vectors import QuerySettings, make_reader
 #: Block-level result: group index → matching entry rows.
 GroupRows = Dict[int, RowSet]
 
+#: One variable test: (variable ordinal, keyword, match mode).
+VarCheck = Tuple[int, Keyword, MatchMode]
+
 #: Resolver hook used for the query cache: maps a search string to its
 #: block-level result (the engine's ``search_string_rows`` by default).
 Resolver = Callable[[SearchString], GroupRows]
@@ -114,74 +117,90 @@ class BlockEngine:
 
     # ------------------------------------------------------------------
     def search_string_rows(self, search: SearchString) -> GroupRows:
-        """Block-level match of one search string."""
+        """Block-level match of one search string, in three steps: the
+        free constant tests reduce every group to alternative windows of
+        variable checks; the Capsules those checks locate by stamp are
+        fetched in one coalesced pass (on a box read through ranged
+        reads — a store request per Capsule otherwise); then the checks
+        run, with the usual early exits."""
+        windows = [
+            self._windows(group_idx, group, search)
+            for group_idx, group in enumerate(self.box.groups)
+        ]
+        if self.box.fetches_lazily:
+            self.box.fetch(
+                capsule
+                for group_idx, group_windows in enumerate(windows)
+                for checks in group_windows
+                for var_idx, keyword, mode in checks
+                for capsule in self.reader(group_idx, var_idx).capsules_for(
+                    keyword, mode
+                )
+            )
         out: GroupRows = {}
-        for group_idx, group in enumerate(self.box.groups):
-            rows = self._match_group(group_idx, group, search)
+        for group_idx, group_windows in enumerate(windows):
+            rows = self._match_windows(group_idx, group_windows)
             if rows:
                 out[group_idx] = rows
         return out
 
-    def _match_group(
+    def _windows(
         self, group_idx: int, group: GroupBox, search: SearchString
-    ) -> RowSet:
-        n = group.num_entries
-        result = RowSet.empty(n)
+    ) -> List[List[VarCheck]]:
+        """The group's matching alternatives after the constant tests:
+        each window is the list of variable checks that must all hold
+        (an empty window matches every row).
+
+        A single keyword matches any token by substring, so one constant
+        hit makes the window ``[]`` and every variable is its own
+        alternative.  A multi-keyword string matches *consecutive*
+        tokens — first as a suffix, interior exactly, last as a prefix —
+        and a window survives only if all its constants match.
+        """
         keywords = search.keywords
         tokens = group.template.tokens
+        ordinals = self._var_ordinals[group_idx]
         k = len(keywords)
         if k == 1:
             keyword = keywords[0]
+            singles: List[List[VarCheck]] = []
             for pos, token in enumerate(tokens):
-                if token is not None:
-                    if _const_matches(token, keyword, MatchMode.SUBSTRING):
-                        return RowSet.full(n)
-                    continue
-                var_idx = self._var_ordinals[group_idx][pos]
-                result = result | self._search_var(
-                    group_idx, var_idx, keyword, MatchMode.SUBSTRING
-                )
-                if result.is_full():
-                    break
-            return result
-
-    # multi-keyword: consecutive token windows
+                if token is None:
+                    singles.append([(ordinals[pos], keyword, MatchMode.SUBSTRING)])
+                elif _const_matches(token, keyword, MatchMode.SUBSTRING):
+                    return [[]]
+            return singles
+        windows: List[List[VarCheck]] = []
         for start in range(0, len(tokens) - k + 1):
-            window = self._match_window(group_idx, group, keywords, start)
-            if window is not None:
-                result = result | window
+            checks: List[VarCheck] = []
+            for j, keyword in enumerate(keywords):
+                mode = _mode_for(j, k)
+                token = tokens[start + j]
+                if token is None:
+                    checks.append((ordinals[start + j], keyword, mode))
+                elif not _const_matches(token, keyword, mode):
+                    break
+            else:
+                windows.append(checks)
+        return windows
+
+    def _match_windows(
+        self, group_idx: int, windows: List[List[VarCheck]]
+    ) -> RowSet:
+        """OR over the windows of the AND of each window's checks."""
+        n = self.box.groups[group_idx].num_entries
+        result = RowSet.empty(n)
+        for checks in windows:
+            acc = RowSet.full(n)
+            for var_idx, keyword, mode in checks:
+                acc = acc & self._search_var(group_idx, var_idx, keyword, mode)
+                if not acc:
+                    break
+            if acc:
+                result = result | acc
                 if result.is_full():
                     break
         return result
-
-    def _match_window(
-        self,
-        group_idx: int,
-        group: GroupBox,
-        keywords: List[Keyword],
-        start: int,
-    ) -> Optional[RowSet]:
-        """Match keywords against tokens[start : start+k]; None = no match."""
-        tokens = group.template.tokens
-        n = group.num_entries
-        k = len(keywords)
-        # Constants first: they are free and prune whole windows.
-        var_checks = []
-        for j, keyword in enumerate(keywords):
-            mode = _mode_for(j, k)
-            token = tokens[start + j]
-            if token is not None:
-                if not _const_matches(token, keyword, mode):
-                    return None
-            else:
-                var_checks.append((start + j, keyword, mode))
-        acc = RowSet.full(n)
-        for pos, keyword, mode in var_checks:
-            var_idx = self._var_ordinals[group_idx][pos]
-            acc = acc & self._search_var(group_idx, var_idx, keyword, mode)
-            if not acc:
-                return acc
-        return acc
 
     def _search_var(
         self, group_idx: int, var_idx: int, keyword: Keyword, mode: MatchMode

@@ -42,11 +42,11 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..blockstore.blobsource import BlobSource, StoreBlobSource
 from ..blockstore.index import ArchiveIndex, BlockSummary
-from ..capsule.box import CapsuleBox
+from ..capsule.box import CapsuleBox, _capsules_of
 from ..common.errors import BudgetExceeded
 from ..obs import ledger as ledger_channel
 from ..obs.metrics import get_registry
@@ -655,8 +655,9 @@ class QueryExecutor:
             self._aggregate_values(box, engine, spec, hits, partial)
             return partial
         # COUNT_BY / TOP_K / STATS: per-distinct-value counts suffice.
-        schema = schema_of(box)
-        for ref in schema.by_name(spec.field or ""):
+        refs = schema_of(box).by_name(spec.field or "")
+        _fetch_fields(box, refs, hits)
+        for ref in refs:
             rows = hits.get(ref.group_index)
             if not rows:
                 continue
@@ -697,9 +698,10 @@ class QueryExecutor:
         hits: GroupRows,
         partial: AggregatePartial,
     ) -> None:
-        schema = schema_of(box)
+        refs = schema_of(box).by_name(spec.field or "")
+        _fetch_fields(box, refs, hits)
         chunk: List[str] = []
-        for ref in schema.by_name(spec.field or ""):
+        for ref in refs:
             rows = hits.get(ref.group_index)
             if not rows:
                 continue
@@ -722,11 +724,17 @@ class QueryExecutor:
             ref.group_index: ref
             for ref in schema.by_name(spec.value_field or "")
         }
+        key_refs = [
+            ref
+            for ref in schema.by_name(spec.field or "")
+            if ref.group_index in value_refs
+        ]
+        _fetch_fields(
+            box, key_refs + [value_refs[ref.group_index] for ref in key_refs], hits
+        )
         chunk: List[Tuple[str, str]] = []
-        for key_ref in schema.by_name(spec.field or ""):
-            value_ref = value_refs.get(key_ref.group_index)
-            if value_ref is None:
-                continue
+        for key_ref in key_refs:
+            value_ref = value_refs[key_ref.group_index]
             rows = hits.get(key_ref.group_index)
             if not rows:
                 continue
@@ -863,3 +871,19 @@ class QueryExecutor:
         for i, disjunct in enumerate(plan.disjuncts):
             lines.append(f"  disjunct {i}: {disjunct.describe()}")
         return "\n".join(lines)
+
+
+def _fetch_fields(
+    box: CapsuleBox, refs: Sequence[FieldRef], hits: GroupRows
+) -> None:
+    """Fetch the Capsules of every field reference with hit rows in one
+    coalesced pass, instead of a store request per Capsule as the
+    Aggregate operator reads them."""
+    box.fetch(
+        capsule
+        for ref in refs
+        if not ref.is_constant and hits.get(ref.group_index)
+        for capsule in _capsules_of(
+            box.groups[ref.group_index].vectors[ref.var_index]
+        )
+    )

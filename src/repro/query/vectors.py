@@ -18,13 +18,19 @@ matching are ever decoded, and those decoded columns are retained in the
 bounded :class:`~repro.query.cache.CapsuleValueCache` so wildcard
 verification, reconstruction and dictionary reads never re-decode the
 same Capsule across queries.
+
+Each reader also answers ``capsules_for(keyword, mode)`` — the stored
+Capsules a search may read, as its stamps locate them — so the engine
+can fetch a whole search term's payloads in one coalesced pass before
+matching.  ``locate`` results are memoized per reader on ``(fragment,
+mode)``: the pre-pass and the search share one enumeration.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..capsule import scan
 from ..obs import ledger as ledger_channel
@@ -58,6 +64,18 @@ class QuerySettings:
     scan_kernel: str = "bytes"
 
 
+#: Memo miss marker (``locate`` may itself return None: TOO_COMPLEX).
+_UNSET = object()
+
+
+def _literal_runs(keyword) -> List[str]:
+    """The case-sensitive literal runs a wildcard keyword narrows with
+    (none under ``-i``: stamps and byte scans are case-sensitive)."""
+    if getattr(keyword, "ignore_case", False):
+        return []
+    return [run for run in keyword.literals() if run]
+
+
 def _cached_values(capsule: Capsule) -> List[str]:
     """Decoded values of *capsule* via the process-wide value cache."""
     return get_value_cache().get(capsule)
@@ -86,8 +104,52 @@ class RealVectorReader:
         ]
         self._outlier_set = set(encoded.outlier_rows)
         self._matched_map: Optional[List[int]] = None  # capsule row → group row
+        self._located: Dict[Tuple[str, MatchMode], object] = {}
 
     # ------------------------------------------------------------------
+    def _locate(self, fragment: str, mode: MatchMode):
+        """``locate`` over the runtime pattern, once per (fragment, mode)."""
+        key = (fragment, mode)
+        candidates = self._located.get(key, _UNSET)
+        if candidates is _UNSET:
+            candidates = self._located[key] = locate(
+                self.encoded.pattern,
+                self._stamps,
+                fragment,
+                mode,
+                use_stamps=self.settings.use_stamps,
+            )
+        return candidates
+
+    def capsules_for(self, keyword, mode: MatchMode) -> List[Capsule]:
+        """The Capsules a search for *keyword* may read: the sub-variable
+        Capsules its located candidates name (all of them when locating
+        gave up) plus the outliers, which every search scans.  A wildcard
+        reads every sub-variable Capsule to verify its candidates, unless
+        the stamps prove one of its literal runs absent."""
+        encoded = self.encoded
+        out: List[Capsule] = []
+        if encoded.outlier_capsule is not None:
+            out.append(encoded.outlier_capsule)
+        if not self._num_matched:
+            return out
+        if keyword.needs_regex:
+            if all(
+                self._locate(run, MatchMode.SUBSTRING) != []
+                for run in _literal_runs(keyword)
+            ):
+                out.extend(encoded.subvar_capsules)
+            return out
+        candidates = self._locate(keyword.text, mode)
+        if candidates is TOO_COMPLEX:
+            out.extend(encoded.subvar_capsules)
+            return out
+        for candidate in candidates:  # type: ignore[attr-defined]
+            if not candidate:
+                break
+            out.extend(encoded.subvar_capsules[subvar] for subvar, _, _ in candidate)
+        return out
+
     def _matched_rows(self) -> List[int]:
         if self._matched_map is None:
             if not self._outlier_set:
@@ -130,13 +192,7 @@ class RealVectorReader:
         if num_matched == 0:
             return
         encoded = self.encoded
-        candidates = locate(
-            encoded.pattern,
-            self._stamps,
-            fragment,
-            mode,
-            use_stamps=self.settings.use_stamps,
-        )
+        candidates = self._locate(fragment, mode)
         if candidates is TOO_COMPLEX:
             self.stats.fallback_scans += 1
             self._scan_matched(fragment, mode, result)
@@ -241,9 +297,7 @@ class RealVectorReader:
     def _wildcard_candidates(self, keyword) -> Optional[RowSet]:
         """Rows that contain every (case-sensitive) literal run of the
         keyword; None when no run is checkable."""
-        literals = [run for run in keyword.literals() if run] if not getattr(
-            keyword, "ignore_case", False
-        ) else []
+        literals = _literal_runs(keyword)
         if not literals:
             return None
         candidates: Optional[RowSet] = None
@@ -361,6 +415,7 @@ class NominalVectorReader:
         for dp in encoded.dict_patterns:
             self._region_slots.append(slot)
             slot += dp.count
+        self._located: Dict[Tuple[str, MatchMode], List[object]] = {}
 
     # ------------------------------------------------------------------
     def _pattern_stamps(self, dp) -> List[CapsuleStamp]:
@@ -368,6 +423,35 @@ class NominalVectorReader:
             CapsuleStamp(mask, maxlen)
             for mask, maxlen in zip(dp.subvar_masks, dp.subvar_maxlens)
         ]
+
+    def _locate(self, fragment: str, mode: MatchMode) -> List[object]:
+        """Per dictionary pattern, ``locate`` of the fragment — once per
+        (fragment, mode)."""
+        key = (fragment, mode)
+        located = self._located.get(key)
+        if located is None:
+            located = self._located[key] = [
+                locate(
+                    dp.pattern,
+                    self._pattern_stamps(dp),
+                    fragment,
+                    mode,
+                    use_stamps=self.settings.use_stamps,
+                )
+                for dp in self.encoded.dict_patterns
+            ]
+        return located
+
+    def capsules_for(self, keyword, mode: MatchMode) -> List[Capsule]:
+        """The dictionary and index Capsules, unless no dictionary pattern
+        can produce the keyword (then the search reads neither)."""
+        encoded = self.encoded
+        if not keyword.needs_regex and not any(
+            candidates is TOO_COMPLEX or candidates
+            for candidates in self._locate(keyword.text, mode)
+        ):
+            return []
+        return [encoded.dict_capsule, encoded.index_capsule]
 
     def _decode_dict(self) -> List[str]:
         """Decode the whole dictionary (region metadata aware)."""
@@ -426,14 +510,9 @@ class NominalVectorReader:
         )
         needle = fragment.encode("utf-8") if use_bytes else b""
         slots: List[int] = []
+        located = self._locate(fragment, mode)
         for pattern_idx, dp in enumerate(encoded.dict_patterns):
-            candidates = locate(
-                dp.pattern,
-                self._pattern_stamps(dp),
-                fragment,
-                mode,
-                use_stamps=self.settings.use_stamps,
-            )
+            candidates = located[pattern_idx]
             if candidates is not TOO_COMPLEX and not candidates:
                 self.stats.capsules_filtered += 1
                 continue  # the pattern cannot produce the fragment
@@ -629,6 +708,14 @@ class PlainVectorReader:
         self.stats = stats
         self.num_rows = encoded.num_rows
 
+    def capsules_for(self, keyword, mode: MatchMode) -> List[Capsule]:
+        """The one Capsule, unless its stamp rules the keyword out."""
+        capsule = self.encoded.capsule
+        texts = _literal_runs(keyword) if keyword.needs_regex else [keyword.text]
+        if self.settings.use_stamps and not all(map(capsule.stamp.admits, texts)):
+            return []
+        return [capsule]
+
     def search(self, fragment: str, mode: MatchMode) -> RowSet:
         capsule = self.encoded.capsule
         self.stats.capsules_considered += 1
@@ -648,11 +735,7 @@ class PlainVectorReader:
         capsule = self.encoded.capsule
         regex = keyword.regex_for(mode)
         result = RowSet.empty(self.num_rows)
-        literals = (
-            [run for run in keyword.literals() if run]
-            if not keyword.ignore_case
-            else []
-        )
+        literals = _literal_runs(keyword)
         if literals and self.settings.use_stamps:
             if any(not capsule.stamp.admits(run) for run in literals):
                 self.stats.capsules_filtered += 1

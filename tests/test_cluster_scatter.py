@@ -9,6 +9,7 @@ from repro.cluster import (
     ClusterError,
     ClusterLogGrep,
     LatencyTracker,
+    ReplicaRanker,
     ScatterConfig,
 )
 from repro.core.config import LogGrepConfig
@@ -138,6 +139,177 @@ class TestStoreFailover:
                 node.store.set_profile(FaultProfile(failure_rate=1.0))
             with pytest.raises(ClusterError):
                 cluster.count("ERROR")
+
+
+class TestIngestRetry:
+    def test_failed_puts_are_retried_not_recompressed(self, corpus):
+        # Small blocks: dozens of puts, so a 30% failure rate is certain
+        # to hit some; 12 attempts make exhausting one negligible.
+        config = LogGrepConfig(block_bytes=2048)
+        scatter = ScatterConfig(max_attempts=12, retry_backoff_s=0.0001)
+        with make_cluster(
+            corpus,
+            config=config,
+            scatter=scatter,
+            remote_profile=FaultProfile(failure_rate=0.3, seed=7),
+        ) as cluster:
+            nodes = cluster.nodes.values()
+            assert sum(node.store.failures_injected for node in nodes) > 0
+            assert sum(node.blocks_compressed for node in nodes) == len(
+                cluster._placement
+            )
+            for name, replicas in cluster._placement.items():
+                assert len(replicas) == cluster.replication
+                for nid in replicas:
+                    assert cluster.node(nid).has_block(name)
+                    assert cluster.node(nid).index.get(name) is not None
+            for node in nodes:
+                node.store.set_profile(FaultProfile())
+            single = LogGrep(config=config)
+            single.compress(corpus)
+            for command in ("ERROR", "state: SUC#163*", "read AND bk.0*"):
+                assert cluster.grep(command).lines == single.grep(command).lines
+            assert cluster.count_by("state") == single.count_by("state")
+
+    def test_put_budget_exhaustion_raises(self, corpus):
+        from repro.blockstore.remote import RemoteStoreError
+
+        scatter = ScatterConfig(max_attempts=2, retry_backoff_s=0.0)
+        with pytest.raises(RemoteStoreError):
+            make_cluster(
+                corpus,
+                scatter=scatter,
+                remote_profile=FaultProfile(failure_rate=1.0),
+            )
+
+
+class TestReplicaRanker:
+    def test_cold_ranker_keeps_placement_order(self):
+        ranker = ReplicaRanker(clock=lambda: 0.0)
+        assert ranker.order(["b", "a", "c"]) == ["b", "a", "c"]
+
+    def test_unobserved_node_is_measured_next(self):
+        ranker = ReplicaRanker(clock=lambda: 0.0)
+        ranker.observe("a", 0.001)
+        assert ranker.order(["a", "b"]) == ["b", "a"]
+
+    def test_lowest_estimate_first_ties_keep_order(self):
+        ranker = ReplicaRanker(clock=lambda: 0.0)
+        for node, seconds in (("a", 0.05), ("b", 0.01), ("c", 0.01)):
+            ranker.observe(node, seconds)
+        assert ranker.order(["a", "b"]) == ["b", "a"]
+        assert ranker.order(["c", "b", "a"]) == ["c", "b", "a"]
+
+    def test_bound_only_raises(self):
+        ranker = ReplicaRanker(clock=lambda: 0.0)
+        ranker.observe("a", 0.02)
+        ranker.observe("a", 0.01, bound=True)
+        assert ranker.estimate("a") == pytest.approx(0.02)
+        ranker.observe("a", 0.08, bound=True)
+        assert ranker.estimate("a") == pytest.approx(0.08)
+
+    def test_estimates_age(self):
+        now = [0.0]
+        ranker = ReplicaRanker(clock=lambda: now[0])
+        ranker.observe("slow", 0.08)
+        now[0] = ReplicaRanker.HALF_LIFE_S
+        assert ranker.estimate("slow") == pytest.approx(0.04)
+        ranker.observe("fast", 0.01)
+        assert ranker.order(["slow", "fast"]) == ["fast", "slow"]
+        # "fast" keeps being observed; "slow", passed over, ages below it.
+        for _ in range(12):
+            now[0] += ReplicaRanker.HALF_LIFE_S / 4
+            ranker.observe("fast", 0.01)
+        assert ranker.estimate("slow") == pytest.approx(0.005)
+        assert ranker.order(["fast", "slow"]) == ["slow", "fast"]
+
+
+    def test_concurrent_bounds_keep_the_maximum(self):
+        """Read-modify-write under the lock: with the clock frozen, a lost
+        update would leave some node below the largest bound it saw."""
+        import sys
+        import threading
+
+        ranker = ReplicaRanker(clock=lambda: 0.0)
+        nodes = [f"n{i}" for i in range(4)]
+        bad_orders = []
+
+        def hammer(worker):
+            for step in range(300):
+                for node in nodes:
+                    ranker.observe(node, (worker * 300 + step) * 1e-6, bound=True)
+                if sorted(ranker.order(nodes)) != nodes:
+                    bad_orders.append(worker)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(w,)) for w in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not bad_orders
+        for node in nodes:
+            assert ranker.estimate(node) == pytest.approx(2399e-6)
+
+
+class TestLatencyRankedReplicas:
+    """hedge=False and a frozen ranker clock: a shard's first attempt is
+    the only one, so ``last_report`` nodes show where first attempts went."""
+
+    def _ranked_cluster(self, corpus, now):
+        cluster = make_cluster(
+            corpus, scatter=ScatterConfig(shard_deadline_s=None, hedge=False)
+        )
+        cluster.ranker.clock = lambda: now[0]
+        return cluster
+
+    def _straggle(self, cluster):
+        """Slow down a primary replica and let the ranker see it."""
+        straggler = cluster._placement[sorted(cluster._placement)[0]][0]
+        cluster.set_straggler(straggler, 0.1)
+        for _ in range(2):
+            cluster.count("ERROR")
+        return straggler
+
+    def test_first_attempts_avoid_straggler(self, corpus):
+        with self._ranked_cluster(corpus, [0.0]) as cluster:
+            straggler = self._straggle(cluster)
+            assert cluster.grep("ERROR").lines == grep_lines("ERROR", corpus)
+            for shard in cluster.last_report.shards:
+                assert shard.node != straggler
+                assert shard.attempts == 1
+
+    def test_recovered_node_serves_first_attempts_again(self, corpus):
+        now = [0.0]
+        with self._ranked_cluster(corpus, now) as cluster:
+            straggler = self._straggle(cluster)
+            cluster.set_straggler(straggler, 0.0)
+            for _ in range(40):
+                now[0] += 1.0  # estimates in use refresh; the straggler's ages
+                cluster.count("ERROR")
+                if any(s.node == straggler for s in cluster.last_report.shards):
+                    break
+            else:
+                pytest.fail("a recovered node never got a first attempt back")
+
+    def test_dead_node_never_chosen(self, corpus):
+        with self._ranked_cluster(corpus, [0.0]) as cluster:
+            for _ in range(2):
+                cluster.count("ERROR")
+            holders = [n for n in cluster.nodes if cluster.node(n).block_names()]
+            fastest = min(holders, key=lambda n: cluster.ranker.estimate(n) or 0.0)
+            cluster.node(fastest).fail()
+            served = cluster.node(fastest).queries_served
+            assert cluster.grep("ERROR").lines == grep_lines("ERROR", corpus)
+            assert cluster.count("ERROR") == len(grep_lines("ERROR", corpus))
+            assert cluster.node(fastest).queries_served == served
+            assert all(s.node != fastest for s in cluster.last_report.shards)
+            assert all(s.retries == 0 for s in cluster.last_report.shards)
 
 
 class TestGatherProtocol:
